@@ -213,14 +213,36 @@ void BM_SnapshotRefresh(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotRefresh)->Unit(benchmark::kMillisecond);
 
+// The k1_packets population: ~40k pending timers about 1 s out (every
+// ACK re-arms TCP's 1 s minimum RTO, and most of those timers are
+// superseded before they fire) over a few thousand near-term per-hop
+// events (serialization and propagation, 0-5 ms ahead). Each iteration
+// pops the earliest event and schedules its successor of the same kind.
 void BM_EventQueuePushPop(benchmark::State& state) {
     sim::EventQueue q;
-    TimeNs t = 0;
-    // Keep a steady population of 10k events, push+pop per iteration.
-    for (int i = 0; i < 10000; ++i) q.push(t++, [] {});
+    std::uint64_t rng = 0x9e3779b97f4a7c15ULL;
+    auto draw = [&rng](TimeNs below) {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return static_cast<TimeNs>(rng % static_cast<std::uint64_t>(below));
+    };
+    constexpr TimeNs kTimer = kNsPerSec;
+    constexpr TimeNs kHop = 5 * kNsPerMs;
+    bool was_timer = false;
+    const auto timer = [&was_timer] { was_timer = true; };
+    const auto hop = [&was_timer] { was_timer = false; };
+    for (int i = 0; i < 40000; ++i) q.push(draw(kTimer), timer);
+    for (int i = 0; i < 4000; ++i) q.push(draw(kHop), hop);
     for (auto _ : state) {
-        q.push(t++, [] {});
-        benchmark::DoNotOptimize(q.pop());
+        TimeNs now = 0;
+        q.pop(&now)();
+        benchmark::DoNotOptimize(now);
+        if (was_timer) {
+            q.push(now + kTimer + draw(kHop), timer);
+        } else {
+            q.push(now + draw(kHop), hop);
+        }
     }
 }
 BENCHMARK(BM_EventQueuePushPop);

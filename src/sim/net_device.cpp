@@ -43,7 +43,8 @@ bool NetDevice::send(const Packet& packet, int next_hop) {
                                            packet.flow_id,
                                            static_cast<std::int64_t>(packet.seq)));
         }
-        start_transmission({packet, target});
+        in_service_ = {packet, target};
+        start_transmission();
         return true;
     }
     if (queue_.enqueue(packet, target)) {
@@ -64,25 +65,24 @@ bool NetDevice::send(const Packet& packet, int next_hop) {
     return false;
 }
 
-void NetDevice::start_transmission(const DropTailQueue::Entry& entry) {
+void NetDevice::start_transmission() {
     busy_ = true;
     const double tx_seconds =
-        static_cast<double>(entry.packet.size_bytes) * 8.0 / rate_bps_;
-    sim_.schedule_in(seconds_to_ns(tx_seconds),
-                     [this, entry]() { on_transmit_complete(entry); });
+        static_cast<double>(in_service_.packet.size_bytes) * 8.0 / rate_bps_;
+    sim_.schedule_in(seconds_to_ns(tx_seconds), [this]() { on_transmit_complete(); });
 }
 
-void NetDevice::on_transmit_complete(DropTailQueue::Entry entry) {
-    tx_bytes_ += static_cast<std::uint64_t>(entry.packet.size_bytes);
+void NetDevice::on_transmit_complete() {
+    const Packet& packet = in_service_.packet;
+    const int to = in_service_.next_hop;
+    tx_bytes_ += static_cast<std::uint64_t>(packet.size_bytes);
     ++tx_packets_;
-    tx_bytes_metric_->inc(static_cast<std::uint64_t>(entry.packet.size_bytes));
+    tx_bytes_metric_->inc(static_cast<std::uint64_t>(packet.size_bytes));
     tx_packets_metric_->inc();
 
     // The wavefront left the device; propagation delay is measured from
     // the geometry at this instant.
-    const TimeNs prop = delay_(owner_, entry.next_hop, sim_.now());
-    const Packet packet = entry.packet;
-    const int to = entry.next_hop;
+    const TimeNs prop = delay_(owner_, to, sim_.now());
     if (tracer_->enabled(obs::TraceCategory::kPacket)) {
         tracer_->emit(obs::make_record(sim_.now(), obs::TraceCategory::kPacket,
                                        "pkt.tx", owner_, to, packet.flow_id,
@@ -93,25 +93,44 @@ void NetDevice::on_transmit_complete(DropTailQueue::Entry entry) {
         // leaves a dead transmitter and is lost.
         drop_on_dead_link(packet, to);
     } else {
-        sim_.schedule_in(prop, [this, packet, to]() {
-            if (link_up_ && !link_up_(owner_, to, sim_.now())) {
-                // Died mid-flight: the wavefront arrives at a dead
-                // receiver and is lost (no loss-free handoff for faults).
-                drop_on_dead_link(packet, to);
-                return;
-            }
-            rx_packets_metric_->inc();
-            if (tracer_->enabled(obs::TraceCategory::kPacket)) {
-                tracer_->emit(obs::make_record(sim_.now(), obs::TraceCategory::kPacket,
-                                               "pkt.deliver", to, owner_, packet.flow_id,
-                                               static_cast<std::int64_t>(packet.seq)));
-            }
-            deliver_(packet, to);
-        });
+        std::uint32_t slot;
+        if (free_slots_.empty()) {
+            slot = static_cast<std::uint32_t>(in_flight_.size());
+            in_flight_.push_back(in_service_);
+        } else {
+            slot = free_slots_.back();
+            free_slots_.pop_back();
+            in_flight_[slot] = in_service_;
+        }
+        sim_.schedule_in(prop, [this, slot]() { on_arrival(slot); });
     }
 
     busy_ = false;
-    if (!queue_.empty()) start_transmission(queue_.dequeue());
+    if (!queue_.empty()) {
+        in_service_ = queue_.dequeue();
+        start_transmission();
+    }
+}
+
+void NetDevice::on_arrival(std::uint32_t slot) {
+    // Copy out and free the slot first: delivery forwards the packet on,
+    // which may reach this device again and reuse (or grow) the pool.
+    const DropTailQueue::Entry entry = in_flight_[slot];
+    free_slots_.push_back(slot);
+    const int to = entry.next_hop;
+    if (link_up_ && !link_up_(owner_, to, sim_.now())) {
+        // Died mid-flight: the wavefront arrives at a dead receiver and
+        // is lost (no loss-free handoff for faults).
+        drop_on_dead_link(entry.packet, to);
+        return;
+    }
+    rx_packets_metric_->inc();
+    if (tracer_->enabled(obs::TraceCategory::kPacket)) {
+        tracer_->emit(obs::make_record(sim_.now(), obs::TraceCategory::kPacket,
+                                       "pkt.deliver", to, owner_, entry.packet.flow_id,
+                                       static_cast<std::int64_t>(entry.packet.seq)));
+    }
+    deliver_(entry.packet, to);
 }
 
 }  // namespace hypatia::sim

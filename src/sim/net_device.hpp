@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -45,6 +46,9 @@ class NetDevice {
     NetDevice(Simulator& sim, int owner_node, double rate_bps,
               std::size_t queue_capacity, DelayModel delay, DeliverFn deliver,
               int fixed_peer = -1, LinkUpFn link_up = nullptr);
+    // Scheduled events hold `this`.
+    NetDevice(const NetDevice&) = delete;
+    NetDevice& operator=(const NetDevice&) = delete;
 
     /// Enqueues toward `next_hop` (ignored for ISL devices, which always
     /// use their fixed peer). Returns false if the queue dropped it.
@@ -63,8 +67,12 @@ class NetDevice {
     std::size_t backlog() const { return queue_.size() + (busy_ ? 1 : 0); }
 
   private:
-    void start_transmission(const DropTailQueue::Entry& entry);
-    void on_transmit_complete(DropTailQueue::Entry entry);
+    // The per-hop events capture only `this` (plus an in-flight slot
+    // index), which fits std::function's inline buffer: no allocation
+    // per hop.
+    void start_transmission();  // serializes in_service_
+    void on_transmit_complete();
+    void on_arrival(std::uint32_t slot);
     void drop_on_dead_link(const Packet& packet, int to);
 
     Simulator& sim_;
@@ -76,6 +84,11 @@ class NetDevice {
     LinkUpFn link_up_;
     int fixed_peer_;
     bool busy_ = false;
+    DropTailQueue::Entry in_service_;  // the packet being serialized while busy_
+    // Packets propagating toward their next hop, by slot; freed slots are
+    // reused, so the pool grows only to the peak number in flight.
+    std::vector<DropTailQueue::Entry> in_flight_;
+    std::vector<std::uint32_t> free_slots_;
     std::uint64_t tx_bytes_ = 0;
     std::uint64_t tx_packets_ = 0;
     // Shared registry instruments (one set of names across all devices)

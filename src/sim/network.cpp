@@ -6,8 +6,9 @@ namespace hypatia::sim {
 
 void Network::create_nodes(int count) {
     if (!nodes_.empty()) throw std::logic_error("network: nodes already created");
+    fib_.reset(count);
     nodes_.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i) nodes_.push_back(std::make_unique<Node>(i));
+    for (int i = 0; i < count; ++i) nodes_.push_back(std::make_unique<Node>(i, fib_));
 }
 
 NetDevice& Network::make_device(int owner, double rate_bps, std::size_t queue_capacity,

@@ -14,6 +14,9 @@ namespace hypatia::sim {
 class Network {
   public:
     explicit Network(Simulator& sim) : sim_(sim) {}
+    // Nodes and devices hold pointers into the network.
+    Network(const Network&) = delete;
+    Network& operator=(const Network&) = delete;
 
     /// Creates `count` nodes with ids 0..count-1 (call once).
     void create_nodes(int count);
@@ -45,6 +48,7 @@ class Network {
                            DelayModel delay, int fixed_peer, LinkUpFn link_up);
 
     Simulator& sim_;
+    ForwardingTable fib_;  // every node's next hops (Node::set_next_hop)
     std::vector<std::unique_ptr<Node>> nodes_;
     std::vector<std::unique_ptr<NetDevice>> devices_;
 };

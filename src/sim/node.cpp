@@ -1,5 +1,7 @@
 #include "src/sim/node.hpp"
 
+#include <stdexcept>
+
 #include "src/obs/observability.hpp"
 
 namespace hypatia::sim {
@@ -16,6 +18,36 @@ obs::Counter& no_route_drops_metric() {
     return c;
 }
 }  // namespace
+
+void ForwardingTable::reset(int num_nodes) {
+    num_nodes_ = static_cast<std::size_t>(num_nodes);
+    row_of_dst_.assign(num_nodes_, -1);
+    next_hop_.clear();
+}
+
+void ForwardingTable::set(int node, int dst, int next_hop) {
+    if (dst < 0 || static_cast<std::size_t>(dst) >= row_of_dst_.size()) {
+        throw std::out_of_range("forwarding table: destination is not a node");
+    }
+    int& row = row_of_dst_[static_cast<std::size_t>(dst)];
+    if (row < 0) {
+        if (next_hop < 0) return;  // a destination without a row reads -1 already
+        row = static_cast<int>(next_hop_.size() / num_nodes_);
+        next_hop_.resize(next_hop_.size() + num_nodes_, -1);
+    }
+    next_hop_[static_cast<std::size_t>(row) * num_nodes_ + static_cast<std::size_t>(node)] =
+        next_hop;
+}
+
+void Node::attach_isl_device(int peer, NetDevice* device) {
+    for (IslPort& port : isl_) {
+        if (port.device == nullptr || port.peer == peer) {
+            port = {peer, device};
+            return;
+        }
+    }
+    throw std::logic_error("node: more than four ISL devices");
+}
 
 void Node::receive(const Packet& packet) {
     if (packet.dst_node == id_) {
@@ -54,7 +86,9 @@ void Node::forward(const Packet& in) {
 
 std::uint64_t Node::queue_drops() const {
     std::uint64_t total = 0;
-    for (const auto& [peer, dev] : isl_devices_) total += dev->queue().drops();
+    for (const IslPort& port : isl_) {
+        if (port.device != nullptr) total += port.device->queue().drops();
+    }
     if (gsl_device_ != nullptr) total += gsl_device_->queue().drops();
     return total;
 }

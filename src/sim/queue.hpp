@@ -1,9 +1,13 @@
 // Drop-tail FIFO packet queue with byte/packet statistics — the queueing
 // discipline the paper's experiments use (100-packet device queues).
+//
+// Storage is a circular buffer that grows only when it is full (doubling,
+// capped at the capacity), so it tracks the queue's peak occupancy and
+// steady-state enqueue/dequeue never allocates.
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "src/sim/packet.hpp"
 
@@ -24,15 +28,19 @@ class DropTailQueue {
     /// Precondition: !empty().
     Entry dequeue();
 
-    bool empty() const { return items_.empty(); }
-    std::size_t size() const { return items_.size(); }
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
     std::size_t capacity() const { return capacity_; }
     std::uint64_t drops() const { return drops_; }
     std::uint64_t enqueues() const { return enqueues_; }
 
   private:
+    void grow();
+
     std::size_t capacity_;
-    std::deque<Entry> items_;
+    std::vector<Entry> ring_;  // ring_.size() is the current buffer length
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
     std::uint64_t drops_ = 0;
     std::uint64_t enqueues_ = 0;
 };

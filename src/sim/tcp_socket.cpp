@@ -379,14 +379,14 @@ void TcpFlow::maybe_delay_ack(TimeNs echo_time) {
         send_ack(pending_ack_echo_);
         return;
     }
-    // First pending segment: arm the delayed-ACK timer.
+    // First pending segment: arm the delayed-ACK timer. While the
+    // generation matches no ACK went out, so pending_ack_echo_ is still
+    // the echo of the first pending segment.
     const std::uint64_t generation = ++delack_generation_;
-    const TimeNs echo = pending_ack_echo_;
-    network_.simulator().schedule_in(config_.delayed_ack_timeout,
-                                     [this, generation, echo]() {
-                                         if (generation != delack_generation_) return;
-                                         if (pending_ack_segments_ > 0) send_ack(echo);
-                                     });
+    network_.simulator().schedule_in(config_.delayed_ack_timeout, [this, generation]() {
+        if (generation != delack_generation_) return;
+        if (pending_ack_segments_ > 0) send_ack(pending_ack_echo_);
+    });
 }
 
 void TcpFlow::send_ack(TimeNs echo_time) {

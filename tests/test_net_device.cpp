@@ -1,11 +1,46 @@
 #include "src/sim/net_device.hpp"
 
+#include <deque>
+#include <random>
+
 #include <gtest/gtest.h>
 
 #include "src/sim/network.hpp"
 
 namespace hypatia::sim {
 namespace {
+
+// The circular buffer wraps and grows (doubling, capped at a capacity
+// that is not a power of two) while staying FIFO, and drops only when
+// the capacity is reached; a std::deque is the oracle.
+TEST(DropTailQueue, FifoAcrossWrapAndGrowth) {
+    DropTailQueue q(7);
+    std::deque<std::uint64_t> oracle;
+    std::mt19937_64 rng(3);
+    std::uint64_t next = 0;
+    std::uint64_t drops = 0;
+    for (int op = 0; op < 5000; ++op) {
+        if (rng() % 5 < 3) {
+            Packet p;
+            p.seq = next++;
+            const bool accepted = q.enqueue(p, static_cast<int>(p.seq % 4));
+            EXPECT_EQ(accepted, oracle.size() < 7);
+            if (accepted) {
+                oracle.push_back(p.seq);
+            } else {
+                ++drops;
+            }
+        } else if (!oracle.empty()) {
+            const DropTailQueue::Entry e = q.dequeue();
+            ASSERT_EQ(e.packet.seq, oracle.front());
+            EXPECT_EQ(e.next_hop, static_cast<int>(e.packet.seq % 4));
+            oracle.pop_front();
+        }
+        ASSERT_EQ(q.size(), oracle.size());
+    }
+    EXPECT_EQ(q.drops(), drops);
+    EXPECT_GT(drops, 0u);
+}
 
 // A two-node wire: node 0 -> node 1, fixed propagation delay.
 struct Wire {

@@ -111,6 +111,74 @@ TEST(NodeForwarding, TtlGuardDropsLoops) {
     EXPECT_EQ(c.net.node(1).ttl_drops() + c.net.node(2).ttl_drops(), 1u);
 }
 
+TEST(NodeForwarding, NeverInstalledDestinationHasNoRoute) {
+    Chain c;
+    // Destination 2 never got a route from anyone; 99 is not even a node.
+    for (int n = 0; n < 4; ++n) {
+        EXPECT_EQ(c.net.node(n).next_hop(2), -1);
+        EXPECT_EQ(c.net.node(n).next_hop(99), -1);
+        EXPECT_EQ(c.net.node(n).next_hop(-1), -1);
+    }
+    EXPECT_THROW(c.net.node(0).set_next_hop(99, 1), std::out_of_range);
+    Packet p;
+    p.src_node = 0;
+    p.dst_node = 2;
+    p.size_bytes = 100;
+    p.flow_id = 9;
+    c.net.node(0).receive(p);
+    c.sim.run_until(kNsPerSec);
+    EXPECT_EQ(c.net.node(0).no_route_drops(), 1u);
+    EXPECT_EQ(c.net.node(2).delivered_packets(), 0u);
+}
+
+TEST(NodeForwarding, OverwritingAnEntryTouchesOnlyThatEntry) {
+    Chain c;
+    c.net.node(1).set_next_hop(3, 0);
+    EXPECT_EQ(c.net.node(1).next_hop(3), 0);
+    c.net.node(1).set_next_hop(3, 2);
+    EXPECT_EQ(c.net.node(1).next_hop(3), 2);
+    // Same destination at other nodes, and other destinations, unchanged.
+    EXPECT_EQ(c.net.node(0).next_hop(3), 1);
+    EXPECT_EQ(c.net.node(2).next_hop(3), 3);
+    EXPECT_EQ(c.net.node(1).next_hop(0), 0);
+    EXPECT_EQ(c.net.node(2).next_hop(0), 1);
+}
+
+TEST(NodeForwarding, SettingNoRouteClearsOneEntry) {
+    Chain c;
+    c.net.node(2).set_next_hop(3, -1);
+    EXPECT_EQ(c.net.node(2).next_hop(3), -1);
+    EXPECT_EQ(c.net.node(1).next_hop(3), 2);
+    // -1 for a destination without a table row keeps it without one.
+    c.net.node(2).set_next_hop(1, -1);
+    EXPECT_EQ(c.net.node(2).next_hop(1), -1);
+    EXPECT_EQ(c.net.node(0).next_hop(1), -1);
+    // The packet now dies at sat2, one hop short.
+    Packet p;
+    p.src_node = 0;
+    p.dst_node = 3;
+    p.size_bytes = 100;
+    p.flow_id = 9;
+    c.net.node(0).receive(p);
+    c.sim.run_until(kNsPerSec);
+    EXPECT_EQ(c.net.node(2).no_route_drops(), 1u);
+    EXPECT_EQ(c.net.node(3).delivered_packets(), 0u);
+}
+
+TEST(NodeForwarding, AtMostFourIslDevicesPerNode) {
+    Simulator sim;
+    Network net{sim};
+    net.create_nodes(6);
+    auto delay = [](int, int, TimeNs) { return TimeNs{1 * kNsPerMs}; };
+    for (int peer = 1; peer <= 4; ++peer) net.add_isl(0, peer, 1e7, 100, delay);
+    for (int peer = 1; peer <= 4; ++peer) {
+        ASSERT_NE(net.node(0).isl_device_to(peer), nullptr);
+        EXPECT_EQ(net.node(0).isl_device_to(peer)->fixed_peer(), peer);
+    }
+    EXPECT_EQ(net.node(0).isl_device_to(5), nullptr);
+    EXPECT_THROW(net.add_isl(0, 5, 1e7, 100, delay), std::logic_error);
+}
+
 TEST(NodeForwarding, LocalDeliveryDoesNotForward) {
     Chain c;
     int got = 0;
