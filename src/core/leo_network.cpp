@@ -172,15 +172,14 @@ void LeoNetwork::run(TimeNs duration) {
     }
     // Install state at t = 0 and then at every interval boundary. Events
     // are scheduled one at a time so the event queue stays small.
-    const TimeNs interval = scenario_.fstate_interval;
-    auto self = std::make_shared<std::function<void()>>();
-    *self = [this, interval, duration, self]() {
-        install_fstate(sim_.now());
-        const TimeNs next = sim_.now() + interval;
-        if (next <= duration) sim_.schedule_at(next, *self);
-    };
-    sim_.schedule_at(0, *self);
+    sim_.schedule_at(0, [this, duration] { fstate_tick(duration); });
     sim_.run_until(duration);
+}
+
+void LeoNetwork::fstate_tick(TimeNs duration) {
+    install_fstate(sim_.now());
+    const TimeNs next = sim_.now() + scenario_.fstate_interval;
+    if (next <= duration) sim_.schedule_at(next, [this, duration] { fstate_tick(duration); });
 }
 
 std::vector<int> LeoNetwork::current_path(int src_gs, int dst_gs) const {

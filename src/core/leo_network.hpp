@@ -78,6 +78,9 @@ class LeoNetwork {
 
   private:
     void install_fstate(TimeNs sim_time);
+    /// Installs forwarding state now and schedules the next install of
+    /// the run that ends at `duration`.
+    void fstate_tick(TimeNs duration);
     TimeNs propagation_delay(int from, int to, TimeNs sim_time) const;
     Vec3 node_position(int node, TimeNs orbit_time) const;
 

@@ -11,15 +11,14 @@ UtilizationSampler::UtilizationSampler(LeoNetwork& leo, TimeNs bin_width, TimeNs
     const auto& devices = leo_.network().devices();
     bytes_per_bin_.assign(devices.size(), std::vector<std::uint64_t>(num_bins_, 0));
     last_counter_.assign(devices.size(), 0);
+    leo_.simulator().schedule_at(bin_width_, [this] { tick(); });
+}
 
-    auto self = std::make_shared<std::function<void()>>();
-    *self = [this, self]() {
-        sample();
-        if (current_bin_ < num_bins_) {
-            leo_.simulator().schedule_in(bin_width_, *self);
-        }
-    };
-    leo_.simulator().schedule_at(bin_width_, *self);
+void UtilizationSampler::tick() {
+    sample();
+    if (current_bin_ < num_bins_) {
+        leo_.simulator().schedule_in(bin_width_, [this] { tick(); });
+    }
 }
 
 void UtilizationSampler::sample() {
@@ -53,24 +52,21 @@ UnusedBandwidthTracker::UnusedBandwidthTracker(LeoNetwork& leo,
                                                int dst_gs)
     : leo_(leo), sampler_(sampler), src_gs_(src_gs), dst_gs_(dst_gs) {
     path_devices_per_bin_.resize(sampler.num_bins());
-    auto self = std::make_shared<std::function<void()>>();
-    auto capture = [this](std::size_t bin) {
-        if (bin >= path_devices_per_bin_.size()) return;
+    // Capture just after each bin starts (fstate for t=0 installs at t=0,
+    // so a 1 ns offset sees the fresh state).
+    leo_.simulator().schedule_at(1, [this] { tick(); });
+}
+
+void UnusedBandwidthTracker::tick() {
+    const auto bin = static_cast<std::size_t>(leo_.simulator().now() / sampler_.bin_width());
+    if (bin < path_devices_per_bin_.size()) {
         for (sim::NetDevice* dev : leo_.current_path_devices(src_gs_, dst_gs_)) {
             path_devices_per_bin_[bin].push_back(sampler_.device_index(dev));
         }
-    };
-    *self = [this, self, capture]() {
-        const auto bin =
-            static_cast<std::size_t>(leo_.simulator().now() / sampler_.bin_width());
-        capture(bin);
-        if (bin + 1 < path_devices_per_bin_.size()) {
-            leo_.simulator().schedule_in(sampler_.bin_width(), *self);
-        }
-    };
-    // Capture just after each bin starts (fstate for t=0 installs at t=0,
-    // so a 1 ns offset sees the fresh state).
-    leo_.simulator().schedule_at(1, *self);
+    }
+    if (bin + 1 < path_devices_per_bin_.size()) {
+        leo_.simulator().schedule_in(sampler_.bin_width(), [this] { tick(); });
+    }
 }
 
 std::vector<double> UnusedBandwidthTracker::unused_bps() const {

@@ -34,6 +34,8 @@ class UtilizationSampler {
 
   private:
     void sample();
+    /// Samples the bin that just ended and schedules the next sample.
+    void tick();
 
     LeoNetwork& leo_;
     TimeNs bin_width_;
@@ -57,6 +59,10 @@ class UnusedBandwidthTracker {
     std::vector<double> unused_bps() const;
 
   private:
+    /// Records the current path's devices for the bin that just started
+    /// and schedules the next capture.
+    void tick();
+
     LeoNetwork& leo_;
     UtilizationSampler& sampler_;
     int src_gs_;

@@ -3,22 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
+#include <stdexcept>
+#include <unordered_map>
 
 #include "src/obs/observability.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/routing/graph.hpp"
 #include "src/routing/shortest_path.hpp"
-#include "src/util/thread_pool.hpp"
 
 namespace hypatia::flowsim {
-namespace {
-
-std::uint64_t pack_hop(int from, int to) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
-           static_cast<std::uint32_t>(to);
-}
-
-}  // namespace
 
 Engine::Engine(const core::Scenario& scenario, TrafficMatrix matrix,
                EngineOptions options)
@@ -43,17 +37,32 @@ Engine::Engine(const core::Scenario& scenario, TrafficMatrix matrix,
     }
     matrix_.sort_by_arrival();
 
-    const int num_nodes = constellation_.num_satellites() +
-                          static_cast<int>(scenario_.ground_stations.size());
-    isl_resource_.reserve(isls_.size() * 2);
-    for (std::size_t i = 0; i < isls_.size(); ++i) {
-        isl_resource_[pack_hop(isls_[i].sat_a, isls_[i].sat_b)] =
-            static_cast<std::uint32_t>(2 * i);
-        isl_resource_[pack_hop(isls_[i].sat_b, isls_[i].sat_a)] =
-            static_cast<std::uint32_t>(2 * i + 1);
+    const int num_sats = constellation_.num_satellites();
+    const int num_gs = static_cast<int>(scenario_.ground_stations.size());
+    // Port CSR: ISL i gives sat_a the port (sat_b, 2i) and sat_b the port
+    // (sat_a, 2i + 1). A pair listed twice would make the hop ambiguous.
+    port_offset_.assign(static_cast<std::size_t>(num_sats) + 1, 0);
+    for (const topo::Isl& isl : isls_) {
+        ++port_offset_[static_cast<std::size_t>(isl.sat_a) + 1];
+        ++port_offset_[static_cast<std::size_t>(isl.sat_b) + 1];
     }
+    std::partial_sum(port_offset_.begin(), port_offset_.end(), port_offset_.begin());
+    ports_.assign(port_offset_.back(), Port{-1, 0});
     gsl_base_ = static_cast<std::uint32_t>(2 * isls_.size());
-    num_resources_ = gsl_base_ + static_cast<std::uint32_t>(num_nodes);
+    std::vector<std::uint32_t> cursor(port_offset_.begin(), port_offset_.end() - 1);
+    for (std::size_t i = 0; i < isls_.size(); ++i) {
+        const auto a = static_cast<std::size_t>(isls_[i].sat_a);
+        const auto b = static_cast<std::size_t>(isls_[i].sat_b);
+        if (resource_for_hop(isls_[i].sat_a, isls_[i].sat_b) < gsl_base_) {
+            throw std::logic_error("flowsim: ISL (" + std::to_string(a) + ", " +
+                                   std::to_string(b) + ") is listed twice");
+        }
+        ports_[cursor[a]++] = {isls_[i].sat_b, static_cast<std::uint32_t>(2 * i)};
+        ports_[cursor[b]++] = {isls_[i].sat_a, static_cast<std::uint32_t>(2 * i + 1)};
+    }
+    num_resources_ = gsl_base_ + static_cast<std::uint32_t>(num_sats + num_gs);
+    pair_slot_.assign(static_cast<std::size_t>(num_gs) * static_cast<std::size_t>(num_gs),
+                      -1);
 
     auto& m = obs::metrics();
     m.gauge("scenario.num_satellites").set(constellation_.num_satellites());
@@ -66,8 +75,10 @@ Engine::Engine(const core::Scenario& scenario, TrafficMatrix matrix,
 
 std::uint32_t Engine::resource_for_hop(int from, int to) const {
     if (from < num_satellites() && to < num_satellites()) {
-        const auto it = isl_resource_.find(pack_hop(from, to));
-        if (it != isl_resource_.end()) return it->second;
+        const auto s = static_cast<std::size_t>(from);
+        for (std::uint32_t k = port_offset_[s]; k < port_offset_[s + 1]; ++k) {
+            if (ports_[k].peer == to) return ports_[k].resource;
+        }
     }
     // Any hop that is not a provisioned ISL serializes on `from`'s shared
     // GSL transmit device — the same contention point the packet model has.
@@ -119,61 +130,80 @@ const route::ForwardingState& Engine::compute_epoch_forwarding(
     return fstate_;
 }
 
-Engine::EpochProblem Engine::build_problem(const route::ForwardingState& fstate,
-                                           const std::vector<std::uint32_t>& active,
-                                           TimeNs t) {
+const Engine::EpochProblem& Engine::build_problem(
+    const route::ForwardingState& fstate, const std::vector<std::uint32_t>& active,
+    TimeNs t) {
     HYPATIA_PROFILE_SCOPE("flowsim.paths");
-    EpochProblem ep;
+    EpochProblem& ep = problem_;
+    FairShareProblem& problem = ep.problem;
     const double factor =
         options_.capacity_factor ? options_.capacity_factor(t) : 1.0;
-    ep.problem.capacity_bps.assign(num_resources_, 0.0);
-    for (std::size_t i = 0; i < isls_.size(); ++i) {
-        ep.problem.capacity_bps[2 * i] = scenario_.isl_rate_bps * factor;
-        ep.problem.capacity_bps[2 * i + 1] = scenario_.isl_rate_bps * factor;
-    }
-    for (std::uint32_t r = gsl_base_; r < num_resources_; ++r) {
-        ep.problem.capacity_bps[r] = scenario_.gsl_rate_bps * factor;
+    problem.capacity_bps.assign(num_resources_, scenario_.gsl_rate_bps * factor);
+    std::fill_n(problem.capacity_bps.begin(), gsl_base_, scenario_.isl_rate_bps * factor);
+    problem.clear_flows();
+    ep.flow_of_problem.clear();
+    ep.unreachable.clear();
+
+    // Every flow of a (src, dst) pair follows the pair's path, so number
+    // the pairs of the active flows in first-seen order ...
+    const auto num_gs = static_cast<std::uint32_t>(scenario_.ground_stations.size());
+    const auto pair_key = [&](std::uint32_t f) {
+        const Flow& flow = matrix_.flows[f];
+        return static_cast<std::uint32_t>(flow.src_gs) * num_gs +
+               static_cast<std::uint32_t>(flow.dst_gs);
+    };
+    slot_pair_.clear();
+    for (const std::uint32_t f : active) {
+        const std::uint32_t key = pair_key(f);
+        if (pair_slot_[key] < 0) {
+            pair_slot_[key] = static_cast<std::int32_t>(slot_pair_.size());
+            slot_pair_.push_back(key);
+        }
     }
 
-    const int max_hops = num_satellites() +
-                         static_cast<int>(scenario_.ground_stations.size());
-    // Per-flow path walks read only the forwarding state and the
-    // resource map, so they fan out on the pool; the CSR problem is
-    // then assembled serially in active-flow (ascending id) order, the
-    // same row layout the serial walk produced.
-    struct FlowPath {
-        std::vector<std::uint32_t> links;
-        bool reachable = false;
-    };
-    const std::vector<FlowPath> paths = util::parallel_map<FlowPath>(
-        active.size(), /*chunk=*/64, [&](std::size_t idx) {
-            FlowPath fp;
-            const Flow& flow = matrix_.flows[active[idx]];
-            const int dst_node = gs_node(flow.dst_gs);
-            const route::DestinationTree* tree = fstate.tree(dst_node);
-            fp.reachable = tree != nullptr;
-            int node = gs_node(flow.src_gs);
-            while (fp.reachable && node != dst_node) {
-                const int nh = tree->next_hop[static_cast<std::size_t>(node)];
-                if (nh < 0 || static_cast<int>(fp.links.size()) >= max_hops) {
-                    fp.reachable = false;
-                    break;
-                }
-                fp.links.push_back(resource_for_hop(node, nh));
-                node = nh;
+    // ... walk each pair once, straight into the problem's path CSR ...
+    const int max_hops = num_satellites() + static_cast<int>(num_gs);
+    slot_path_.resize(slot_pair_.size());
+    for (std::size_t slot = 0; slot < slot_pair_.size(); ++slot) {
+        const std::uint32_t key = slot_pair_[slot];
+        const int dst_node = gs_node(static_cast<int>(key % num_gs));
+        const route::DestinationTree* tree = fstate.tree(dst_node);
+        const std::size_t begin = problem.path_links.size();
+        bool reachable = tree != nullptr;
+        int node = gs_node(static_cast<int>(key / num_gs));
+        while (reachable && node != dst_node) {
+            const int nh = tree->next_hop[static_cast<std::size_t>(node)];
+            if (nh < 0 ||
+                static_cast<int>(problem.path_links.size() - begin) >= max_hops) {
+                reachable = false;
+                break;
             }
-            return fp;
-        });
+            problem.path_links.push_back(resource_for_hop(node, nh));
+            node = nh;
+        }
+        if (reachable) {
+            slot_path_[slot] = static_cast<std::int32_t>(problem.num_paths());
+            problem.path_offset.push_back(
+                static_cast<std::uint32_t>(problem.path_links.size()));
+        } else {
+            slot_path_[slot] = -1;
+            problem.path_links.resize(begin);
+        }
+    }
+
+    // ... and put the flows on the paths in active-flow (ascending id)
+    // order, the row order every consumer of the solution sums in.
     ep.flow_of_problem.reserve(active.size());
-    for (std::size_t idx = 0; idx < active.size(); ++idx) {
-        const std::uint32_t f = active[idx];
-        if (!paths[idx].reachable) {
+    for (const std::uint32_t f : active) {
+        const std::int32_t path = slot_path_[static_cast<std::size_t>(pair_slot_[pair_key(f)])];
+        if (path < 0) {
             ep.unreachable.push_back(f);
             continue;
         }
-        ep.problem.add_flow(paths[idx].links, matrix_.flows[f].rate_cap_bps);
+        problem.add_flow_on(static_cast<std::uint32_t>(path), matrix_.flows[f].rate_cap_bps);
         ep.flow_of_problem.push_back(f);
     }
+    for (const std::uint32_t key : slot_pair_) pair_slot_[key] = -1;  // clean for next call
     return ep;
 }
 
@@ -503,7 +533,7 @@ RunSummary Engine::run() {
         }
 
         const route::ForwardingState& fstate = compute_epoch_forwarding(t, dst_gs);
-        EpochProblem ep = build_problem(fstate, active, t);
+        const EpochProblem& ep = build_problem(fstate, active, t);
         FairShareResult solution = solve_max_min(ep.problem);
         stats.solver_rounds = solution.rounds;
         stats.converged = solution.converged;
@@ -552,10 +582,7 @@ RunSummary Engine::run() {
             std::vector<double> load(num_resources_, 0.0);
             for (std::size_t row = 0; row < ep.flow_of_problem.size(); ++row) {
                 const double r = solution.rate_bps[row];
-                for (std::uint32_t i = ep.problem.flow_offset[row];
-                     i < ep.problem.flow_offset[row + 1]; ++i) {
-                    load[ep.problem.flow_links[i]] += r;
-                }
+                for (const std::uint32_t l : ep.problem.links_of(row)) load[l] += r;
             }
             std::vector<double> per_isl(isls_.size(), 0.0);
             for (std::size_t i = 0; i < isls_.size(); ++i) {
@@ -654,7 +681,7 @@ RunSummary Engine::run() {
                 active.erase(std::remove_if(active.begin(), active.end(),
                                             [&](std::uint32_t f) { return done[f]; }),
                              active.end());
-                ep = build_problem(fstate, active, t);
+                build_problem(fstate, active, t);  // refills `ep`
                 solution = solve_max_min(ep.problem);
                 summary.all_converged = summary.all_converged && solution.converged;
                 for (std::size_t row = 0; row < ep.flow_of_problem.size(); ++row) {

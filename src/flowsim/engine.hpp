@@ -6,9 +6,11 @@
 //      by default, full rebuild under HYPATIA_SNAPSHOT_MODE=rebuild),
 //   2. recomputes per-destination forwarding trees (same Dijkstra the
 //      packet simulator installs),
-//   3. walks each active flow's path and maps its hops onto transmit
+//   3. walks the path of each distinct (src, dst) ground-station pair
+//      among the active flows once and maps its hops onto transmit
 //      resources (one per ISL direction, one per node's shared GSL
-//      device — the same serialization points the packet model has), and
+//      device — the same serialization points the packet model has),
+//      then puts every active flow on its pair's path, and
 //   4. solves the max-min fair-share problem for all active flows.
 // Rates then stay constant until the next epoch; finite flows complete at
 // the exact fluid time. The cost per epoch is O(Dijkstra * destinations +
@@ -22,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -148,8 +149,10 @@ class Engine {
     const route::ForwardingState& compute_epoch_forwarding(
         TimeNs t, const std::vector<int>& dst_gs);
     route::SnapshotOptions snapshot_options();
-    EpochProblem build_problem(const route::ForwardingState& fstate,
-                               const std::vector<std::uint32_t>& active, TimeNs t);
+    /// Fills problem_ for the active flows (DESIGN.md §15) and returns it.
+    const EpochProblem& build_problem(const route::ForwardingState& fstate,
+                                      const std::vector<std::uint32_t>& active,
+                                      TimeNs t);
     std::uint32_t resource_for_hop(int from, int to) const;
 
     core::Scenario scenario_;
@@ -172,9 +175,25 @@ class Engine {
     route::ForwardingState fstate_;  // recycled across epochs
 
     // Resource layout: [2 * isl_index + direction] then [gsl_base_ + node].
-    std::unordered_map<std::uint64_t, std::uint32_t> isl_resource_;
+    // Satellite s's ISL ports (peer, transmit resource) are
+    // ports_[port_offset_[s] .. port_offset_[s + 1]).
+    struct Port {
+        int peer;
+        std::uint32_t resource;
+    };
+    std::vector<std::uint32_t> port_offset_;
+    std::vector<Port> ports_;
     std::uint32_t gsl_base_ = 0;
     std::uint32_t num_resources_ = 0;
+
+    // Epoch problem buffers, reused across build_problem calls.
+    // pair_slot_[src * num_gs + dst] is the pair's slot while a problem is
+    // being built and -1 otherwise; slot_pair_ lists the slots' pair keys
+    // in first-seen order and slot_path_ their path ids (-1: unreachable).
+    EpochProblem problem_;
+    std::vector<std::int32_t> pair_slot_;
+    std::vector<std::uint32_t> slot_pair_;
+    std::vector<std::int32_t> slot_path_;
 
     std::vector<std::vector<double>> isl_utilization_;  // [epoch][isl]
 };

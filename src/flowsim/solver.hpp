@@ -10,34 +10,55 @@
 // caps itself below the fair share); a capped flow freezes when the fill
 // level reaches its cap, exactly like hitting a private bottleneck link.
 //
-// The solver is pure (no topology knowledge): callers present flows as
-// index lists into a flat resource-capacity vector. The engine maps
-// directed ISLs and GSL transmit devices onto those resources.
+// The solver is pure (no topology knowledge): callers present paths as
+// index lists into a flat resource-capacity vector and put flows on
+// paths. Many flows may share one path (the engine puts every flow of a
+// (src, dst) ground-station pair on the pair's path), and the solver
+// works per path wherever the flows of a path move together. The engine
+// maps directed ISLs and GSL transmit devices onto the resources.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace hypatia::flowsim {
 
 inline constexpr double kNoRateCap = std::numeric_limits<double>::infinity();
 
-/// One allocation problem: `num_flows()` flows over `capacity_bps.size()`
-/// resources. Flow f crosses the resources
-/// `flow_links[flow_offset[f] .. flow_offset[f+1])`. A flow with an empty
-/// link list is only limited by its cap (unreachable flows should not be
-/// submitted at all — give them rate 0 upstream).
+/// One allocation problem: `num_flows()` flows on `num_paths()` paths over
+/// `capacity_bps.size()` resources. Path p crosses the resources
+/// `path_links[path_offset[p] .. path_offset[p+1])`; flow f rides path
+/// `flow_path[f]`. A flow on an empty path is only limited by its cap
+/// (unreachable flows should not be submitted at all — give them rate 0
+/// upstream).
 struct FairShareProblem {
     std::vector<double> capacity_bps;
-    std::vector<std::uint32_t> flow_links;
-    std::vector<std::uint32_t> flow_offset{0};  // size num_flows() + 1
+    std::vector<std::uint32_t> path_links;
+    std::vector<std::uint32_t> path_offset{0};  // size num_paths() + 1
+    std::vector<std::uint32_t> flow_path;       // size num_flows()
     std::vector<double> rate_cap_bps;           // empty = no flow capped
 
-    std::size_t num_flows() const { return flow_offset.size() - 1; }
+    std::size_t num_flows() const { return flow_path.size(); }
+    std::size_t num_paths() const { return path_offset.size() - 1; }
+    /// The resources crossed by flow `f`.
+    std::span<const std::uint32_t> links_of(std::size_t f) const {
+        const std::uint32_t p = flow_path[f];
+        return {path_links.data() + path_offset[p], path_links.data() + path_offset[p + 1]};
+    }
 
-    /// Appends one flow crossing `links` (indices into capacity_bps).
-    void add_flow(const std::vector<std::uint32_t>& links, double cap = kNoRateCap);
+    /// Appends one path crossing `links` (indices into capacity_bps) and
+    /// returns its id.
+    std::uint32_t add_path(std::span<const std::uint32_t> links);
+    /// Appends one flow on path `path`.
+    void add_flow_on(std::uint32_t path, double cap = kNoRateCap);
+    /// Appends a path crossing `links` and one flow on it.
+    void add_flow(const std::vector<std::uint32_t>& links, double cap = kNoRateCap) {
+        add_flow_on(add_path(links), cap);
+    }
+    /// Drops every path and flow; capacities and buffers are kept.
+    void clear_flows();
 };
 
 struct FairShareResult {
@@ -47,10 +68,14 @@ struct FairShareResult {
     /// theoretical bound (indicates a bug or NaN capacities); rates are
     /// still returned for the flows that froze.
     bool converged = true;
+    /// Sum over rounds of the links that still carried rising flows when
+    /// the round began: the links each round's scans visit.
+    std::uint64_t live_links_scanned = 0;
 };
 
-/// Solves the max-min fair allocation. O(rounds * links + total path
-/// length); rounds is bounded by the number of distinct bottlenecks.
+/// Solves the max-min fair allocation. O(rounds * live links + total
+/// path length + flows); rounds is bounded by the number of distinct
+/// bottlenecks and caps.
 FairShareResult solve_max_min(const FairShareProblem& problem);
 
 /// True if `rates` is feasible: no resource carries more than

@@ -108,22 +108,19 @@ void expect_max_min_fair(const FairShareProblem& p, const FairShareResult& r) {
     std::vector<double> load(p.capacity_bps.size(), 0.0);
     std::vector<double> max_rate_on(p.capacity_bps.size(), 0.0);
     for (std::size_t f = 0; f < p.num_flows(); ++f) {
-        for (std::uint32_t i = p.flow_offset[f]; i < p.flow_offset[f + 1]; ++i) {
-            load[p.flow_links[i]] += r.rate_bps[f];
-            max_rate_on[p.flow_links[i]] =
-                std::max(max_rate_on[p.flow_links[i]], r.rate_bps[f]);
+        for (const std::uint32_t l : p.links_of(f)) {
+            load[l] += r.rate_bps[f];
+            max_rate_on[l] = std::max(max_rate_on[l], r.rate_bps[f]);
         }
     }
     for (std::size_t f = 0; f < p.num_flows(); ++f) {
         const double cap = p.rate_cap_bps.empty() ? kNoRateCap : p.rate_cap_bps[f];
         if (cap != kNoRateCap && r.rate_bps[f] >= cap - 1e-7) continue;  // at cap
         bool bottlenecked = false;
-        for (std::uint32_t i = p.flow_offset[f];
-             !bottlenecked && i < p.flow_offset[f + 1]; ++i) {
-            const std::uint32_t l = p.flow_links[i];
+        for (const std::uint32_t l : p.links_of(f)) {
             const bool saturated = load[l] >= p.capacity_bps[l] - 1e-6;
             const bool maximal = r.rate_bps[f] >= max_rate_on[l] - 1e-6;
-            bottlenecked = saturated && maximal;
+            bottlenecked = bottlenecked || (saturated && maximal);
         }
         EXPECT_TRUE(bottlenecked) << "flow " << f << " rate " << r.rate_bps[f]
                                   << " is not bottlenecked anywhere";
